@@ -11,7 +11,6 @@ namespace pgivm {
 
 View::~View() {
   if (catalog_) catalog_->Deregister(this);
-  // An owned (unshared-mode) network detaches in its own destructor.
   // ViewSnapshots readers pinned stay valid: they own their epoch.
 }
 
@@ -56,8 +55,7 @@ std::shared_ptr<const Bag> View::results() const {
 }
 
 size_t View::ApproxMemoryBytes() const {
-  if (catalog_) return catalog_->ViewMemoryBytes(this);
-  return network_ != nullptr ? network_->ApproxMemoryBytes() : 0;
+  return catalog_->ViewMemoryBytes(this);
 }
 
 }  // namespace pgivm

@@ -73,12 +73,6 @@ class Bag {
 
   const Map& counts() const { return counts_; }
 
-  /// Drops all contents (used when a network is reset for re-attachment).
-  void Clear() {
-    counts_.clear();
-    total_ = 0;
-  }
-
   size_t ApproxMemoryBytes() const;
 
  private:

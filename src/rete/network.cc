@@ -42,23 +42,16 @@ void ReteNetwork::SetProduction(ProductionNode* production) {
 }
 
 void ReteNetwork::set_propagation(PropagationStrategy strategy) {
-  assert(attached_graph_ == nullptr &&
-         "change the propagation strategy before Attach");
-  if (attached_graph_ != nullptr) return;  // sinks are installed per Attach
+  assert(!primed_ && "change the propagation strategy before Attach");
+  if (primed_) return;  // sinks are installed at Attach
   propagation_ = strategy;
 }
 
 void ReteNetwork::set_executor(ExecutorKind kind, int num_threads) {
-  assert(attached_graph_ == nullptr && "change the executor before Attach");
-  if (attached_graph_ != nullptr) return;  // the pool is built per Attach
+  assert(!primed_ && "change the executor before Attach");
+  if (primed_) return;  // the pool is built at Attach
   executor_ = kind;
   executor_threads_ = num_threads;
-}
-
-void ReteNetwork::set_thread_pool(std::shared_ptr<ThreadPool> pool) {
-  assert(attached_graph_ == nullptr && "lend the pool before Attach");
-  if (attached_graph_ != nullptr) return;
-  shared_pool_ = std::move(pool);
 }
 
 void ReteNetwork::set_profiling(bool on) {
@@ -100,22 +93,14 @@ void ReteNetwork::Attach(PropertyGraph* graph) {
   assert(production_ != nullptr && "Attach requires a production node");
   if (production_ == nullptr) return;
   if (attached_graph_ == graph) return;  // double-attach: no-op
-  // The source nodes read the graph they were constructed over; attaching
-  // the network to any other graph would prime from one store while
-  // subscribing to another. Rejected before touching the current
-  // attachment, so a bad call leaves the network in its previous state.
-  assert((primed_graph_ == nullptr || primed_graph_ == graph) &&
-         "a network can only be (re-)attached to the graph it was built "
-         "over");
-  if (primed_graph_ != nullptr && primed_graph_ != graph) return;
-  if (attached_graph_ != nullptr) Detach();
-
-  // A re-attach re-primes from scratch: wipe whatever the previous
-  // attachment left in the node memories.
-  if (primed_graph_ != nullptr) {
-    for (const auto& node : nodes_) node->Reset();
-  }
-  primed_graph_ = graph;
+  // A network primes once. Its memories already hold the primed graph's
+  // content, and the source nodes read the graph they were constructed
+  // over, so a second attach — after Detach, or to another graph — is
+  // rejected and leaves the network as it was.
+  assert(!primed_ &&
+         "a network attaches once, to the graph it was built over");
+  if (primed_) return;
+  primed_ = true;
 
   const bool batched = propagation_ == PropagationStrategy::kBatched;
   // The executor only affects batched wave scheduling; the eager cascade is
@@ -123,22 +108,7 @@ void ReteNetwork::Attach(PropertyGraph* graph) {
   // of 1 keeps the serial fast path (no pool, no dispatch).
   if (batched && executor_ == ExecutorKind::kParallel) {
     int threads = ThreadPool::ResolveThreadCount(executor_threads_);
-    if (threads > 1) {
-      if (shared_pool_ != nullptr) {
-        // The engine-wide pool (one per catalog, shared by every network
-        // of the engine — sibling networks never drain concurrently, so
-        // one pool serves them all).
-        assert(shared_pool_->parallelism() == threads &&
-               "lent pool sized differently from the resolved executor");
-        pool_ = shared_pool_;
-      } else if (pool_ == nullptr || pool_->parallelism() != threads) {
-        pool_ = std::make_shared<ThreadPool>(threads);
-      }
-    } else {
-      pool_.reset();
-    }
-  } else {
-    pool_.reset();
+    if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
   }
   // Morsel partition count: the explicit cap, else the pool's parallelism,
   // never more than the shard count (partition p owns shards s with
@@ -152,14 +122,7 @@ void ReteNetwork::Attach(PropertyGraph* graph) {
   } else {
     morsel_partitions_resolved_ = 1;
   }
-  if (batched) {
-    PrepareScheduler();
-  } else {
-    // Drop any scheduler state a previous batched attachment left behind,
-    // so node_level()/DebugString() don't report defunct levels.
-    states_.clear();
-    ready_by_level_.clear();
-  }
+  if (batched) PrepareScheduler();
   for (const auto& node : nodes_) {
     node->set_emit_sink(batched ? this : nullptr);
     node->set_profiling(profiling_);
@@ -176,9 +139,7 @@ void ReteNetwork::Attach(PropertyGraph* graph) {
   // Priming replays the whole graph content; it rebuilds every production
   // to its correct rows but is not an observable *change*, so listener
   // fan-out is silenced for the duration (results and chained emissions
-  // are unaffected). This matters for catalog networks running with
-  // incremental_priming disabled, where registering one more view
-  // re-primes the views already being observed.
+  // are unaffected).
   for (ProductionNode* production : productions_) {
     production->set_notify_listeners(false);
   }

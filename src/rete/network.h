@@ -61,11 +61,10 @@ const char* ExecutorKindName(ExecutorKind kind);
 /// Lifecycle: the builder wires the nodes bottom-up; Attach() then (a) emits
 /// structural initial output (key-less aggregates), (b) feeds the current
 /// graph content through the source nodes, and (c) subscribes to the graph.
-/// Detach() (or destruction) unsubscribes. Re-attaching after Detach()
-/// resets every node memory and primes the network afresh; attaching twice
-/// to the same graph is a no-op. A network is permanently bound to the
-/// graph its source nodes were built over — attaching it to a *different*
-/// graph is rejected (the sources read their construction-time graph).
+/// Detach() (or destruction) unsubscribes for good. A network is primed
+/// exactly once: attaching twice while attached is a no-op, and attaching
+/// again after Detach() — or to any graph other than the one the source
+/// nodes were built over — is rejected.
 /// Nodes may also be added *after* Attach (catalog registrations):
 /// PrimeNewNodes splices them in — fresh sources prime from the graph,
 /// reused upstream nodes replay their memories along the new edges — while
@@ -118,21 +117,12 @@ class ReteNetwork : public GraphListener, private EmitSink {
   PropagationStrategy propagation() const { return propagation_; }
 
   /// Selects the wave executor. `num_threads` is the total parallelism for
-  /// kParallel (0 = hardware concurrency); the pool is created at Attach()
-  /// and persists across waves. Must be called before Attach(). kParallel
-  /// with a resolved parallelism of 1 degrades to serial execution.
+  /// kParallel (0 = hardware concurrency); the network creates its own pool
+  /// at Attach() and keeps it across waves. Must be called before Attach().
+  /// kParallel with a resolved parallelism of 1 degrades to serial
+  /// execution.
   void set_executor(ExecutorKind kind, int num_threads = 0);
   ExecutorKind executor() const { return executor_; }
-
-  /// Lends a pre-built worker pool for kParallel waves instead of having
-  /// this network spawn its own at Attach(). The ViewCatalog shares one
-  /// pool across every network its engine creates, so disabling
-  /// operator-state sharing no longer costs a thread pool per view. Must
-  /// be called before Attach(); the pool's parallelism must equal the
-  /// resolved thread count (asserted). The pool is used from the draining
-  /// thread only — graph listeners run sequentially, so sibling networks
-  /// on one graph never dispatch concurrently.
-  void set_thread_pool(std::shared_ptr<ThreadPool> pool);
 
   /// The wave parallelism actually in effect after Attach(): the pool size
   /// under kParallel, 1 otherwise.
@@ -141,8 +131,7 @@ class ReteNetwork : public GraphListener, private EmitSink {
   }
 
   /// The pool parallel waves run on (null when the resolved executor is
-  /// serial). All networks created by one engine share a single instance —
-  /// see set_thread_pool. Exposed for diagnostics/tests.
+  /// serial), owned by this network. Exposed for diagnostics/tests.
   const ThreadPool* thread_pool() const { return pool_.get(); }
 
   /// Payload size at or below which between-wave consolidation takes the
@@ -273,9 +262,10 @@ class ReteNetwork : public GraphListener, private EmitSink {
   }
 
   /// Starts maintaining against `graph` (see class comment). Requires a
-  /// production node. Attaching while already attached is a no-op, as is
-  /// attaching to any graph other than the one the network was first
-  /// primed over (asserted in debug builds).
+  /// production node. Attaching while already attached is a no-op;
+  /// attaching after Detach() or to a graph other than the one the network
+  /// was primed over is rejected (asserted in debug builds, ignored
+  /// otherwise).
   void Attach(PropertyGraph* graph);
   void Detach();
 
@@ -442,8 +432,9 @@ class ReteNetwork : public GraphListener, private EmitSink {
   /// The pending slot for `port` of `state`, inserted in port order.
   static PendingDelta& PendingFor(NodeState& state, int port);
 
-  /// Computes topological levels and allocates scheduler state. Re-run on
-  /// every Attach so nodes/edges wired between attachments are covered.
+  /// Computes topological levels and allocates scheduler state. Run at
+  /// Attach and again whenever PrimeNewNodes or RemoveNodes reshape the
+  /// network.
   void PrepareScheduler();
 
   void EnqueueReady(ReteNode* node, NodeState& state);
@@ -541,9 +532,8 @@ class ReteNetwork : public GraphListener, private EmitSink {
   /// Every view root, in registration order (catalog networks have many).
   std::vector<ProductionNode*> productions_;
   PropertyGraph* attached_graph_ = nullptr;
-  /// The graph this network was first primed over; re-attachment is only
-  /// valid to the same graph (source nodes capture it at construction).
-  PropertyGraph* primed_graph_ = nullptr;
+  /// Set by the first Attach(); a network primes once.
+  bool primed_ = false;
   /// Lifetime counters. Written on the writer thread only, but relaxed
   /// atomics so serving threads may read them mid-ingest without racing.
   std::atomic<int64_t> deltas_processed_{0};
@@ -552,12 +542,9 @@ class ReteNetwork : public GraphListener, private EmitSink {
   PropagationStrategy propagation_ = PropagationStrategy::kBatched;
   ExecutorKind executor_ = ExecutorKind::kSerial;
   int executor_threads_ = 0;  // 0 = hardware concurrency
-  /// The pool parallel waves run on: `shared_pool_` when the catalog lent
-  /// one, else lazily built at Attach(); workers persist across waves and
-  /// attachments. Null whenever the resolved executor is serial.
-  std::shared_ptr<ThreadPool> pool_;
-  /// Engine-wide pool injected via set_thread_pool (may be null).
-  std::shared_ptr<ThreadPool> shared_pool_;
+  /// The pool parallel waves run on, built at Attach(); workers persist
+  /// across waves. Null whenever the resolved executor is serial.
+  std::unique_ptr<ThreadPool> pool_;
   size_t consolidation_cutoff_ = kDefaultConsolidationCutoff;
   /// See set_epoch_retention / PublishEpochs.
   size_t epoch_retention_ = 0;

@@ -112,9 +112,9 @@ class EmitSink {
 /// Lifecycle: constructed bottom-up by the network builder, owned by the
 /// ReteNetwork, wired via AddOutput before the network attaches or primes
 /// the node (catalog registrations add nodes to live networks and prime
-/// them via ReteNetwork::PrimeNewNodes). Reset() returns a node to its
-/// pre-prime state; RemoveOutputsTo unsubscribes dying consumers without
-/// touching this node's memories.
+/// them via ReteNetwork::PrimeNewNodes). A node is primed once;
+/// RemoveOutputsTo unsubscribes dying consumers without touching this
+/// node's memories.
 class ReteNode {
  public:
   explicit ReteNode(Schema schema) : schema_(std::move(schema)) {}
@@ -131,12 +131,6 @@ class ReteNode {
   /// key-less aggregation over empty input). The network calls this once,
   /// in topological order, before feeding any graph state.
   virtual void EmitInitial() {}
-
-  /// Clears all node memories, returning the node to its pre-Attach state
-  /// so the network can be primed again (always against the same graph —
-  /// graph-boundary nodes capture their graph at construction). Stateless
-  /// nodes need not override.
-  virtual void Reset() {}
 
   /// Called by the batched scheduler on the draining thread, in ready
   /// order, after this node's wave work has been flushed — the hook where

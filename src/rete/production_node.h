@@ -60,11 +60,6 @@ class ProductionNode : public ReteNode {
   /// calling (draining) thread.
   void OnWaveBarrier() override;
 
-  void Reset() override {
-    results_.Clear();
-    ++version_;
-  }
-
   /// Replays the materialized result bag (chained-view priming).
   bool ReplayOutput(Delta& out) const override {
     out.reserve(out.size() + results_.counts().size());
@@ -78,7 +73,7 @@ class ProductionNode : public ReteNode {
   const Bag& results() const { return results_; }
 
   /// Monotonic change counter: bumped whenever `results()` may have changed
-  /// (non-empty delta applied, or Reset). Lets readers cache derived state
+  /// (non-empty delta applied). Lets readers cache derived state
   /// (View::Snapshot's sorted rows) and skip recomputation while unchanged.
   uint64_t version() const { return version_; }
 

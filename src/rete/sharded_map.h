@@ -160,10 +160,6 @@ class ShardedBag {
     return total;
   }
 
-  void Clear() {
-    for (Bag& bag : shards_) bag.Clear();
-  }
-
   std::array<Bag, kMorselShards>& shards() { return shards_; }
   const std::array<Bag, kMorselShards>& shards() const { return shards_; }
 

@@ -1,7 +1,8 @@
 // Tests of the view catalog and its shared Rete sub-networks: fingerprint-
 // based node reuse (alias-insensitive), refcounted detach, per-view memory
-// attribution, listener silence during sharing-induced re-priming, and the
-// shared-vs-private differential acceptance criterion.
+// attribution, listener silence during sibling registration, and the
+// shared-catalog acceptance criterion (fewer nodes and bytes than private
+// per-query engines, results equal to re-evaluation at every step).
 
 #include <memory>
 #include <string>
@@ -16,12 +17,6 @@
 
 namespace pgivm {
 namespace {
-
-EngineOptions SharingDisabled() {
-  EngineOptions options;
-  options.catalog.share_operator_state = false;
-  return options;
-}
 
 /// Ten standing social-network views with heavily overlapping prefixes —
 /// the paper's §1 monitoring deployment (many views, one graph). As in
@@ -239,8 +234,9 @@ TEST(CatalogLifecycle, RegisteringASiblingEmitsNoSpuriousListenerDeltas) {
   RecordingListener listener;
   (*view)->AddListener(&listener);
 
-  // Registering another view re-primes the shared network; the first
-  // view's result did not change, so its listeners must stay silent.
+  // Registering another view primes its consumers in the shared network;
+  // the first view's result did not change, so its listeners must stay
+  // silent.
   auto sibling = engine.Register("MATCH (n:A) RETURN n AS m");
   ASSERT_TRUE(sibling.ok());
   EXPECT_EQ(listener.calls, 0);
@@ -277,27 +273,7 @@ TEST(CatalogStatsTest, MarginalMemoryIsBoundedByViewMemory) {
                 catalog.ViewMemoryBytes(b->get()));
 }
 
-TEST(CatalogUnshared, DisablingSharingFallsBackToPrivateNetworks) {
-  PropertyGraph graph;
-  SocialNetworkConfig config;
-  config.persons = 15;
-  SocialNetworkGenerator generator(config);
-  generator.Populate(&graph);
-
-  QueryEngine engine(&graph, SharingDisabled());
-  auto a = engine.Register("MATCH (u:Person)-[:LIKES]->(m:Post) RETURN u, m");
-  auto b = engine.Register("MATCH (x:Person)-[:LIKES]->(y:Post) RETURN x, y");
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_NE(&(*a)->network(), &(*b)->network());
-  CatalogStats stats = engine.catalog().Stats();
-  EXPECT_EQ(stats.views, 2u);
-  EXPECT_EQ(stats.shared_nodes, 0u);
-  EXPECT_EQ(stats.registry_hits, 0);
-  EXPECT_EQ(stats.total_nodes,
-            (*a)->network().node_count() + (*b)->network().node_count());
-}
-
-// ---- acceptance: 10 overlapping views, shared vs unshared ------------------
+// ---- acceptance: 10 overlapping views in one catalog ------------------------
 
 class CatalogAcceptanceTest
     : public ::testing::TestWithParam<PropagationStrategy> {};
@@ -309,40 +285,37 @@ TEST_P(CatalogAcceptanceTest, TenOverlappingViewsShareAndStayBitIdentical) {
   SocialNetworkGenerator generator(config);
   generator.Populate(&graph);
 
-  EngineOptions shared_options;
-  shared_options.network.propagation = GetParam();
-  EngineOptions unshared_options = SharingDisabled();
-  unshared_options.network.propagation = GetParam();
-
-  QueryEngine shared_engine(&graph, shared_options);
-  QueryEngine unshared_engine(&graph, unshared_options);
-
-  std::vector<std::shared_ptr<View>> shared_views;
-  std::vector<std::shared_ptr<View>> unshared_views;
+  EngineOptions options;
+  options.network.propagation = GetParam();
+  QueryEngine engine(&graph, options);
+  std::vector<std::shared_ptr<View>> views;
+  // The private-network side: one engine (and so one network) per query,
+  // each holding only that query's nodes.
+  size_t private_nodes = 0;
+  size_t private_bytes = 0;
   for (const std::string& query : OverlappingSocialViews()) {
-    auto s = shared_engine.Register(query);
-    ASSERT_TRUE(s.ok()) << query << ": " << s.status();
-    shared_views.push_back(*s);
-    auto u = unshared_engine.Register(query);
-    ASSERT_TRUE(u.ok()) << query << ": " << u.status();
-    unshared_views.push_back(*u);
+    auto view = engine.Register(query);
+    ASSERT_TRUE(view.ok()) << query << ": " << view.status();
+    views.push_back(*view);
+    QueryEngine private_engine(&graph, options);
+    auto private_view = private_engine.Register(query);
+    ASSERT_TRUE(private_view.ok()) << query << ": " << private_view.status();
+    private_nodes += private_engine.catalog().Stats().total_nodes;
+    private_bytes += private_engine.catalog().Stats().memory_bytes;
   }
 
-  CatalogStats shared_stats = shared_engine.catalog().Stats();
-  CatalogStats unshared_stats = unshared_engine.catalog().Stats();
-  ASSERT_EQ(shared_stats.views, 10u);
+  CatalogStats stats = engine.catalog().Stats();
+  ASSERT_EQ(stats.views, 10u);
   // ≥ 30% of the live Rete nodes serve more than one view...
-  EXPECT_GE(shared_stats.SharingRatio(), 0.3)
-      << shared_stats.ToString();
+  EXPECT_GE(stats.SharingRatio(), 0.3) << stats.ToString();
   // ...the catalog needs strictly fewer nodes than ten private networks...
-  EXPECT_LT(shared_stats.total_nodes, unshared_stats.total_nodes);
+  EXPECT_LT(stats.total_nodes, private_nodes);
   // ...and strictly less total node-memory.
-  EXPECT_LT(shared_stats.memory_bytes, unshared_stats.memory_bytes)
-      << "shared: " << shared_stats.ToString()
-      << " unshared: " << unshared_stats.ToString();
+  EXPECT_LT(stats.memory_bytes, private_bytes)
+      << "shared: " << stats.ToString() << " private: " << private_bytes;
 
-  // Differential: shared results stay bit-identical to the per-view
-  // networks after every update (both engines listen to the same graph).
+  // Differential: every shared view equals re-evaluation after every
+  // update, single changes and multi-change batches alike.
   for (int step = 0; step < 30; ++step) {
     if (step % 4 == 3) {
       graph.BeginBatch();
@@ -351,15 +324,15 @@ TEST_P(CatalogAcceptanceTest, TenOverlappingViewsShareAndStayBitIdentical) {
     } else {
       generator.ApplyRandomUpdate(&graph);
     }
-    for (size_t q = 0; q < shared_views.size(); ++q) {
-      std::vector<Tuple> shared_rows = shared_views[q]->Snapshot();
-      std::vector<Tuple> unshared_rows = unshared_views[q]->Snapshot();
-      ASSERT_EQ(shared_rows.size(), unshared_rows.size())
-          << OverlappingSocialViews()[q] << " diverged at step " << step;
-      for (size_t i = 0; i < shared_rows.size(); ++i) {
-        ASSERT_EQ(Tuple::Compare(shared_rows[i], unshared_rows[i]), 0)
-            << OverlappingSocialViews()[q] << " step " << step << " row "
-            << i;
+    for (const auto& view : views) {
+      auto expected = engine.EvaluateOnce(view->query());
+      ASSERT_TRUE(expected.ok()) << view->query();
+      std::vector<Tuple> rows = view->Snapshot();
+      ASSERT_EQ(rows.size(), expected.value().size())
+          << view->query() << " diverged at step " << step;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        ASSERT_EQ(Tuple::Compare(rows[i], expected.value()[i]), 0)
+            << view->query() << " step " << step << " row " << i;
       }
     }
   }

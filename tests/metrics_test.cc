@@ -360,13 +360,11 @@ TEST(Profiling, RuntimeToggleCoversLateNetworks) {
   ScopedThreadsEnv no_env(nullptr);
   ScopedProfileEnv no_profile_env(nullptr);
   PropertyGraph graph;
-  EngineOptions options;
-  options.catalog.share_operator_state = false;  // one network per view
-  QueryEngine engine(&graph, options);
+  QueryEngine engine(&graph);
   engine.set_profiling(true);
   auto view = engine.Register("MATCH (n:A) RETURN n");
   ASSERT_TRUE(view.ok()) << view.status();
-  // The per-view network was created after the toggle and must inherit it.
+  // The catalog network was created after the toggle and must inherit it.
   graph.AddVertex({"A"});
   EngineMetricsSnapshot snap = engine.MetricsSnapshot();
   int64_t activations = 0;

@@ -1,8 +1,8 @@
 // Tests of incremental priming (memory replay on live-catalog
 // registration): replay-vs-graph accounting, registration cost independent
 // of catalog size, register-mid-churn parity, re-sharing nodes freed by a
-// prior drop, listener silence during replay, and the engine-wide thread
-// pool shared across networks.
+// prior drop, listener silence during replay, and the worker pool the
+// catalog network owns.
 
 #include <memory>
 #include <string>
@@ -134,15 +134,12 @@ TEST(IncrementalPriming, RegistrationCostIsIndependentOfCatalogSize) {
 
 // Registering between update bursts must splice the new consumers into a
 // warm, mid-churn network without corrupting it — under either propagation
-// strategy, with and without incremental priming (bit-identical results).
-class MidChurnTest : public ::testing::TestWithParam<
-                         std::pair<PropagationStrategy, bool>> {};
+// strategy (results bit-identical to re-evaluation).
+class MidChurnTest : public ::testing::TestWithParam<PropagationStrategy> {};
 
 TEST_P(MidChurnTest, RegisterBetweenBurstsStaysConsistent) {
-  auto [strategy, incremental] = GetParam();
   EngineOptions options;
-  options.network.propagation = strategy;
-  options.catalog.incremental_priming = incremental;
+  options.network.propagation = GetParam();
 
   SocialNetworkConfig config;
   config.persons = 30;
@@ -195,17 +192,13 @@ TEST_P(MidChurnTest, RegisterBetweenBurstsStaysConsistent) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    StrategiesAndPriming, MidChurnTest,
-    ::testing::Values(
-        std::make_pair(PropagationStrategy::kEager, true),
-        std::make_pair(PropagationStrategy::kEager, false),
-        std::make_pair(PropagationStrategy::kBatched, true),
-        std::make_pair(PropagationStrategy::kBatched, false)),
-    [](const auto& info) {
-      return std::string(PropagationStrategyName(info.param.first)) +
-             (info.param.second ? "_replay" : "_reprime");
-    });
+INSTANTIATE_TEST_SUITE_P(BothStrategies, MidChurnTest,
+                         ::testing::Values(PropagationStrategy::kEager,
+                                           PropagationStrategy::kBatched),
+                         [](const auto& info) {
+                           return std::string(
+                               PropagationStrategyName(info.param));
+                         });
 
 // A dropped view's exclusive nodes are freed and leave the registry; a
 // later registration of the same plan must rebuild them fresh (graph-
@@ -302,44 +295,8 @@ TEST(IncrementalPriming, ListenersStaySilentDuringReplay) {
   (*join_view)->RemoveListener(&join_listener);
 }
 
-// The engine-wide pool: disabling operator-state sharing used to spawn one
-// worker pool per view's private network; now every network an engine
-// creates runs its parallel waves on a single shared pool.
-TEST(EnginePool, PrivateNetworksShareOneThreadPool) {
+TEST(NetworkPool, CatalogNetworkOwnsAPoolOfTheConfiguredSize) {
   ScopedThreadsEnv no_env(nullptr);  // pin: the case needs exactly kParallel
-  SocialNetworkConfig config;
-  config.persons = 15;
-  SocialNetworkGenerator generator(config);
-  PropertyGraph graph;
-  generator.Populate(&graph);
-
-  EngineOptions options;
-  options.catalog.share_operator_state = false;
-  options.network.executor = ExecutorKind::kParallel;
-  options.network.num_threads = 2;
-  QueryEngine engine(&graph, options);
-  auto a = engine.Register(kLikesQuery);
-  auto b = engine.Register(
-      "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = c.lang RETURN p, c");
-  ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_NE(&(*a)->network(), &(*b)->network());
-  const ThreadPool* pool = (*a)->network().thread_pool();
-  ASSERT_NE(pool, nullptr);
-  EXPECT_EQ(pool->parallelism(), 2);
-  EXPECT_EQ((*b)->network().thread_pool(), pool);
-
-  // Both private networks keep maintaining correctly on the shared pool.
-  for (int i = 0; i < 10; ++i) generator.ApplyRandomUpdate(&graph);
-  for (const auto& view : {*a, *b}) {
-    auto expected = engine.EvaluateOnce(view->query());
-    ASSERT_TRUE(expected.ok());
-    EXPECT_EQ(view->Snapshot().size(), expected.value().size())
-        << view->query();
-  }
-}
-
-TEST(EnginePool, SharedCatalogNetworkUsesTheEnginePoolToo) {
-  ScopedThreadsEnv no_env(nullptr);
   PropertyGraph graph;
   graph.AddVertex({"A"});
   EngineOptions options;
@@ -351,6 +308,49 @@ TEST(EnginePool, SharedCatalogNetworkUsesTheEnginePoolToo) {
   ASSERT_NE((*view)->network().thread_pool(), nullptr);
   EXPECT_EQ((*view)->network().thread_pool()->parallelism(), 2);
   EXPECT_EQ((*view)->size(), 1);
+}
+
+// Dropping the last view drops the catalog network together with its
+// pool; the next registration builds a fresh network that starts its own
+// pool and primes from the graph as it is now.
+TEST(NetworkPool, RegisterAfterLastDropBuildsAFreshNetworkAndPool) {
+  ScopedThreadsEnv no_env(nullptr);
+  SocialNetworkConfig config;
+  config.persons = 30;
+  SocialNetworkGenerator generator(config);
+  PropertyGraph graph;
+  generator.Populate(&graph);
+
+  EngineOptions options;
+  options.network.executor = ExecutorKind::kParallel;
+  options.network.num_threads = 2;
+  QueryEngine engine(&graph, options);
+  auto first = engine.Register(kLikesQuery);
+  ASSERT_TRUE(first.ok());
+  ASSERT_NE((*first)->network().thread_pool(), nullptr);
+  for (int i = 0; i < 10; ++i) generator.ApplyRandomUpdate(&graph);
+  first->reset();
+  ASSERT_EQ(engine.catalog().shared_network(), nullptr);
+
+  // Changes while no view is registered reach no network.
+  for (int i = 0; i < 10; ++i) generator.ApplyRandomUpdate(&graph);
+  auto again = engine.Register(kLikesAlias);
+  ASSERT_TRUE(again.ok());
+  const ReteNetwork& network = (*again)->network();
+  EXPECT_EQ(&network, engine.catalog().shared_network());
+  ASSERT_NE(network.thread_pool(), nullptr);
+  EXPECT_EQ(network.thread_pool()->parallelism(), 2);
+  EXPECT_EQ(network.executor_parallelism(), 2);
+  EXPECT_GT(engine.catalog().last_prime_stats().graph_primed_entries, 0);
+
+  for (int i = 0; i < 10; ++i) generator.ApplyRandomUpdate(&graph);
+  auto expected = engine.EvaluateOnce(kLikesAlias);
+  ASSERT_TRUE(expected.ok());
+  std::vector<Tuple> rows = (*again)->Snapshot();
+  ASSERT_EQ(rows.size(), expected.value().size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_EQ(Tuple::Compare(rows[i], expected.value()[i]), 0) << "row " << i;
+  }
 }
 
 // Replay priming under the parallel executor: registrations into a live

@@ -1204,7 +1204,10 @@ TEST_P(AttachLifecycleTest, DoubleAttachIsANoOp) {
   EXPECT_EQ(fixture.production->results().total_count(), 1);
 }
 
-TEST_P(AttachLifecycleTest, ReattachAfterDetachReprimesFromCurrentGraph) {
+// A network primes once: after Detach its memories are stale and it is
+// not brought back — a second Attach is rejected like one to a foreign
+// graph (asserted in debug builds, ignored otherwise).
+TEST_P(AttachLifecycleTest, AttachAfterDetachIsRejected) {
   SingleSourceFixture fixture;
   fixture.Build(GetParam());
   fixture.network.Attach(&fixture.graph);
@@ -1213,19 +1216,34 @@ TEST_P(AttachLifecycleTest, ReattachAfterDetachReprimesFromCurrentGraph) {
 
   fixture.network.Detach();
   EXPECT_FALSE(fixture.network.attached());
-  // Mutations while detached are invisible...
   fixture.graph.AddVertex({"A"});
-  fixture.graph.AddVertex({"B"});
+  EXPECT_DEBUG_DEATH(fixture.network.Attach(&fixture.graph),
+                     "attaches once");
+  EXPECT_FALSE(fixture.network.attached());
+  fixture.graph.AddVertex({"A"});
+  EXPECT_EQ(fixture.network.deltas_processed(), 1);
   EXPECT_EQ(fixture.production->results().total_count(), 1);
+}
 
-  // ...until re-attach re-primes node memories from the current content.
+// Sinks and the pool are installed when the network primes, so strategy
+// and executor stay fixed from then on — Detach does not reopen them.
+TEST_P(AttachLifecycleTest, SettingsStayFixedAfterDetach) {
+  SingleSourceFixture fixture;
+  fixture.Build(GetParam());
   fixture.network.Attach(&fixture.graph);
-  EXPECT_TRUE(fixture.network.attached());
-  EXPECT_EQ(fixture.production->results().total_count(), 2);
+  fixture.network.Detach();
 
-  // And incremental maintenance resumes.
-  fixture.graph.AddVertex({"A"});
-  EXPECT_EQ(fixture.production->results().total_count(), 3);
+  const PropagationStrategy other = GetParam() == PropagationStrategy::kEager
+                                        ? PropagationStrategy::kBatched
+                                        : PropagationStrategy::kEager;
+  EXPECT_DEBUG_DEATH(fixture.network.set_propagation(other),
+                     "propagation strategy before Attach");
+  EXPECT_DEBUG_DEATH(fixture.network.set_executor(ExecutorKind::kParallel, 2),
+                     "executor before Attach");
+  EXPECT_EQ(fixture.network.propagation(), GetParam());
+  EXPECT_EQ(fixture.network.executor(), ExecutorKind::kSerial);
+  EXPECT_EQ(fixture.network.executor_parallelism(), 1);
+  EXPECT_EQ(fixture.network.thread_pool(), nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothStrategies, AttachLifecycleTest,

@@ -1,5 +1,9 @@
 #include "support/status.h"
 
+#include <memory>
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 namespace pgivm {
@@ -45,6 +49,25 @@ TEST(ResultTest, MoveOnlyValue) {
   ASSERT_TRUE(r.ok());
   std::unique_ptr<int> v = std::move(r).value();
   EXPECT_EQ(*v, 5);
+}
+
+TEST(ResultTest, CopyAndMoveKeepValueOrError) {
+  Result<std::string> value = std::string("kept");
+  Result<std::string> copied = value;
+  ASSERT_TRUE(copied.ok());
+  EXPECT_EQ(copied.value(), "kept");
+  EXPECT_TRUE(copied.status().ok());
+  Result<std::string> moved = std::move(copied);
+  ASSERT_TRUE(moved.ok());
+  EXPECT_EQ(moved.value(), "kept");
+
+  Result<std::string> error = Status::OutOfRange("past the end");
+  Result<std::string> error_copy = error;
+  EXPECT_FALSE(error_copy.ok());
+  EXPECT_EQ(error_copy.status(), Status::OutOfRange("past the end"));
+  Result<std::string> error_moved = std::move(error_copy);
+  EXPECT_FALSE(error_moved.ok());
+  EXPECT_EQ(error_moved.status().code(), StatusCode::kOutOfRange);
 }
 
 Result<int> Half(int x) {
